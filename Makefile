@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench vet check cover fault-smoke serve-smoke failover-smoke gray-smoke power-smoke trace-smoke ff-smoke digest-smoke experiments bench-json clean
+.PHONY: all build test short race bench microbench vet check cover fault-smoke serve-smoke failover-smoke gray-smoke power-smoke trace-smoke ff-smoke digest-smoke experiments bench-json clean
 
 all: check
 
@@ -29,12 +29,20 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
+## microbench: the per-layer cycle-loop microbenchmarks (L1 MSHR, SM tick,
+## PPMM tick), one iteration each so the gate exercises them; all report
+## 0 allocs/op. Measure with e.g. BENCHTIME=2s.
+BENCHTIME ?= 1x
+microbench:
+	$(GO) test -run '^$$' -bench '^Benchmark(MSHRAddRemove|Tick|PPMMTick)$$' \
+		-benchtime=$(BENCHTIME) -benchmem ./internal/cache ./internal/sm ./internal/dram
+
 ## vet: static analysis; must be clean
 vet:
 	$(GO) vet ./...
 
 ## check: everything the CI gate runs
-check: build vet test race
+check: build vet test race microbench
 
 ## fault-smoke: short degraded-mode sweep; serial and parallel runs of the
 ## same fault seed must produce byte-identical reports (CI smoke job)

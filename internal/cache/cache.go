@@ -180,14 +180,25 @@ func (c *Cache) CheckInvariants() bool {
 	return true
 }
 
-// MSHR tracks outstanding misses and merges requests to the same line.
-// Waiter slices retired via Recycle are reused for later allocations, so the
-// steady-state miss path does not allocate per outstanding line.
+// MSHR tracks outstanding misses and merges requests to the same line. It
+// is a fixed open-addressed table of at least twice capacity slots (linear
+// probing, backward-shift deletion), so lookups touch one or two adjacent
+// slots and the table never rehashes. Waiter slices retired via Recycle are
+// reused for later allocations, so the steady-state miss path does not
+// allocate per outstanding line.
 type MSHR struct {
 	capacity int
 	maxMerge int
-	entries  map[uint64][]any
-	free     [][]any // recycled waiter-slice backing arrays
+	n        int         // outstanding lines
+	shift    uint        // 64 - log2(len(slots)): home slot = hash >> shift
+	slots    []mshrEntry // empty where len(ws) == 0
+	free     [][]any     // recycled waiter-slice backing arrays
+}
+
+// mshrEntry is one table slot. Every live entry has at least one waiter.
+type mshrEntry struct {
+	line uint64
+	ws   []any
 }
 
 // NewMSHR builds an MSHR file with the given entry capacity. maxMerge bounds
@@ -196,12 +207,43 @@ func NewMSHR(capacity, maxMerge int) *MSHR {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHR{capacity: capacity, maxMerge: maxMerge, entries: make(map[uint64][]any, capacity)}
+	logSlots := uint(1)
+	for 1<<logSlots < 2*capacity {
+		logSlots++
+	}
+	return &MSHR{
+		capacity: capacity,
+		maxMerge: maxMerge,
+		shift:    64 - logSlots,
+		slots:    make([]mshrEntry, 1<<logSlots),
+	}
+}
+
+// home is the line's preferred slot (Fibonacci hashing: consecutive lines
+// spread over the table).
+func (m *MSHR) home(line uint64) int { return int(line * 0x9E3779B97F4A7C15 >> m.shift) }
+
+// find returns the slot holding line, or the empty slot ending its probe
+// chain (where it would be inserted) and false.
+func (m *MSHR) find(line uint64) (int, bool) {
+	mask := len(m.slots) - 1
+	for i := m.home(line); ; i = (i + 1) & mask {
+		e := &m.slots[i]
+		if len(e.ws) == 0 {
+			return i, false
+		}
+		if e.line == line {
+			return i, true
+		}
+	}
 }
 
 // Lookup reports whether a miss for the line is already outstanding.
 func (m *MSHR) Lookup(line uint64) bool {
-	_, ok := m.entries[line]
+	if m.n == 0 {
+		return false
+	}
+	_, ok := m.find(line)
 	return ok
 }
 
@@ -210,32 +252,55 @@ func (m *MSHR) Lookup(line uint64) bool {
 // allocated is true when this call created the entry — the caller must then
 // issue the fill request downstream.
 func (m *MSHR) Add(line uint64, waiter any) (allocated, ok bool) {
-	if ws, exists := m.entries[line]; exists {
-		if m.maxMerge > 0 && len(ws) >= m.maxMerge {
+	i, exists := m.find(line)
+	e := &m.slots[i]
+	if exists {
+		if m.maxMerge > 0 && len(e.ws) >= m.maxMerge {
 			return false, false
 		}
-		m.entries[line] = append(ws, waiter)
+		e.ws = append(e.ws, waiter)
 		return false, true
 	}
-	if len(m.entries) >= m.capacity {
+	if m.n >= m.capacity {
 		return false, false
 	}
 	var ws []any
 	if n := len(m.free); n > 0 {
 		ws = m.free[n-1]
+		m.free[n-1] = nil
 		m.free = m.free[:n-1]
 	} else {
 		ws = make([]any, 0, 4)
 	}
-	m.entries[line] = append(ws, waiter)
+	e.line, e.ws = line, append(ws, waiter)
+	m.n++
 	return true, true
 }
 
-// Remove completes the line's miss and returns its waiters. Callers that
-// fully consume the returned slice should hand it back via Recycle.
+// Remove completes the line's miss and returns its waiters (nil if none
+// were outstanding). Callers that fully consume the returned slice should
+// hand it back via Recycle.
 func (m *MSHR) Remove(line uint64) []any {
-	ws := m.entries[line]
-	delete(m.entries, line)
+	if m.n == 0 {
+		return nil
+	}
+	i, ok := m.find(line)
+	if !ok {
+		return nil
+	}
+	ws := m.slots[i].ws
+	m.n--
+	// Backward-shift deletion: walk the chain after the hole and pull back
+	// every entry whose home slot does not lie cyclically in (hole, j], so
+	// no probe chain ever crosses an empty slot.
+	mask := len(m.slots) - 1
+	for j := (i + 1) & mask; len(m.slots[j].ws) != 0; j = (j + 1) & mask {
+		if (j-m.home(m.slots[j].line))&mask >= (j-i)&mask {
+			m.slots[i] = m.slots[j]
+			i = j
+		}
+	}
+	m.slots[i] = mshrEntry{}
 	return ws
 }
 
@@ -246,24 +311,12 @@ func (m *MSHR) Recycle(ws []any) {
 		return
 	}
 	ws = ws[:cap(ws)]
-	for i := range ws {
-		ws[i] = nil // drop waiter references for GC
-	}
+	clear(ws) // drop waiter references for GC
 	m.free = append(m.free, ws[:0])
 }
 
 // Len reports the number of outstanding lines.
-func (m *MSHR) Len() int { return len(m.entries) }
+func (m *MSHR) Len() int { return m.n }
 
 // Full reports whether no new line can be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
-
-// Clear drops all entries and returns every waiter (used on cache flushes).
-func (m *MSHR) Clear() []any {
-	var all []any
-	for _, ws := range m.entries {
-		all = append(all, ws...)
-	}
-	m.entries = make(map[uint64][]any, m.capacity)
-	return all
-}
+func (m *MSHR) Full() bool { return m.n >= m.capacity }

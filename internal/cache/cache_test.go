@@ -166,16 +166,3 @@ func TestMSHRMergeLimit(t *testing.T) {
 		t.Fatal("merge limit not enforced")
 	}
 }
-
-func TestMSHRClear(t *testing.T) {
-	m := NewMSHR(8, 0)
-	m.Add(1, "a")
-	m.Add(2, "b")
-	all := m.Clear()
-	if len(all) != 2 {
-		t.Errorf("Clear returned %d waiters, want 2", len(all))
-	}
-	if m.Len() != 0 || m.Full() {
-		t.Error("MSHR not empty after Clear")
-	}
-}

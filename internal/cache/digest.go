@@ -1,7 +1,7 @@
 package cache
 
 // State digests (ISSUE 9). The tag array digests in index order (layout is
-// deterministic); the MSHR's entry map digests as an unordered multiset,
+// deterministic); the MSHR's entry table digests as an unordered multiset,
 // with each entry's waiters folded in their (deterministic) merge order
 // through a caller-supplied waiter hasher — the cache package stores waiters
 // as opaque `any` values and cannot hash them itself. The waiter-slice
@@ -28,9 +28,13 @@ func (c *Cache) AppendDigest(h digest.Hash) digest.Hash {
 // *sm.Warp and its own request type).
 func (m *MSHR) AppendDigest(h digest.Hash, hashWaiter func(any) digest.Hash) digest.Hash {
 	var acc digest.Acc
-	for line, ws := range m.entries {
-		eh := digest.New().U64(line).Int(len(ws))
-		for _, w := range ws {
+	for i := 0; i < len(m.slots) && m.n > 0; i++ {
+		e := &m.slots[i]
+		if len(e.ws) == 0 {
+			continue
+		}
+		eh := digest.New().U64(e.line).Int(len(e.ws))
+		for _, w := range e.ws {
 			eh = eh.U64(uint64(hashWaiter(w)))
 		}
 		acc.Add(eh)

@@ -52,6 +52,14 @@ type migLine struct {
 	endAt    uint64 // PPMM: completion time while busy
 	retryAt  uint64 // PPMM: earliest re-issue after a NACK (exponential backoff)
 	retries  uint8  // NACK count for this line
+
+	// notBefore caches a proven lower bound on the line's next possible
+	// MIGRATION issue (PPMM): the latest bank readyAt / bank-group
+	// migBusyTil that refused it. Both only ever move forward, so the
+	// refusal repeats on every earlier cycle; tickPPMM skips the line
+	// until then. A cache of channel state, not state itself: excluded
+	// from the digest.
+	notBefore uint64
 }
 
 type deferredWrite struct {
@@ -200,7 +208,7 @@ func (h *HBM) tickPPMM(cycle uint64, job *migJob) {
 	}
 	for i := range job.lines {
 		l := &job.lines[i]
-		if l.state != lineStatePending || l.retryAt > cycle {
+		if l.state != lineStatePending || l.retryAt > cycle || l.notBefore > cycle {
 			continue
 		}
 		if !h.tryIssueMigration(cycle, l) {
@@ -214,7 +222,10 @@ func (h *HBM) tickPPMM(cycle uint64, job *migJob) {
 }
 
 // tryIssueMigration checks resource availability for one MIGRATION command
-// and, if available, reserves the banks and bank-group paths.
+// and, if available, reserves the banks and bank-group paths. A refusal by a
+// bank or bank-group path records the line's notBefore; a refusal for want
+// of an idle TSV set does not (TSV sets free up when MIGRATIONs retire, so
+// that bound is not monotonic).
 func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) bool {
 	srcCh := h.channels[l.src.GlobalChannel(h.cfg.ChannelsPerStack)]
 	dstCh := h.channels[l.dst.GlobalChannel(h.cfg.ChannelsPerStack)]
@@ -223,10 +234,8 @@ func (h *HBM) tryIssueMigration(cycle uint64, l *migLine) bool {
 	sg := &srcCh.groups[l.src.BankGroup]
 	dg := &dstCh.groups[l.dst.BankGroup]
 	c := int64(cycle)
-	if sb.readyAt > c || db.readyAt > c {
-		return false
-	}
-	if sg.migBusyTil > c || dg.migBusyTil > c {
+	if until := max(sb.readyAt, db.readyAt, sg.migBusyTil, dg.migBusyTil); until > c {
+		l.notBefore = uint64(until)
 		return false
 	}
 	if !h.idleTSVAvailable(cycle, l.src.Stack) {

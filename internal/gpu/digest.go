@@ -9,7 +9,7 @@ package gpu
 //
 // Excluded (non-semantic or mode-dependent observation state):
 //   - object pools and scratch (freeReqs, freeDramReqs, freeWaiters,
-//     epochDeltas/epochOut, the wheel's spare pool),
+//     epochDeltas/epochOut, the warpDigests memo, the wheel's spare pool),
 //   - the fast-forward engine's bookkeeping (activeSM, smInSet, smParked,
 //     smParkedAt, switchingInSet, pendingWakes, ffStats) — it exists only in
 //     one mode; the lazily-accrued stall statistics it defers are settled
@@ -32,9 +32,8 @@ func (g *GPU) ensureDigestSupport() {
 	if g.hashWarpFn != nil {
 		return
 	}
-	g.hashWarpFn = func(a any) digest.Hash {
-		return a.(*sm.Warp).AppendDigest(digest.New())
-	}
+	g.warpDigests = make(map[*sm.Warp]digest.Hash)
+	g.hashWarpFn = func(a any) digest.Hash { return g.warpDigest(a.(*sm.Warp)) }
 	g.hashMemReqFn = func(a any) digest.Hash {
 		r := a.(*memReq)
 		return digest.New().Int(r.app).Int(r.sm).Int(r.slice).U64(r.pa).U64(r.vpn)
@@ -47,6 +46,17 @@ func (g *GPU) ensureDigestSupport() {
 	for i := range g.digestSliceNames {
 		g.digestSliceNames[i] = "llc" + strconv.Itoa(i)
 	}
+}
+
+// warpDigest is the warp's standalone content hash, computed once per
+// snapshot (DigestComponents clears the memo).
+func (g *GPU) warpDigest(w *sm.Warp) digest.Hash {
+	h, ok := g.warpDigests[w]
+	if !ok {
+		h = w.AppendDigest(digest.New())
+		g.warpDigests[w] = h
+	}
+	return h
 }
 
 func hashWheelEvent(ev *wheelEvent) digest.Hash {
@@ -80,6 +90,7 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	g.ensureDigestSupport()
 	g.settleParked()
 	rec.Reset()
+	clear(g.warpDigests)
 
 	h := digest.New().U64(g.cycle).U64(g.epochStart).U64(g.transVersion).
 		U64(g.checkTick).U64(g.dataMigCycles).U64(g.smMigCycles).
@@ -98,8 +109,8 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 		h = g.smL1[i].AppendDigest(h)
 		h = g.smMSHR[i].AppendDigest(h, g.hashWarpFn)
 		h = g.smL1TLB[i].AppendDigest(h)
-		h = h.U64(g.smBase[i]).Int(len(g.replayQ[i]))
-		for _, r := range g.replayQ[i] {
+		h = h.U64(g.smBase[i]).Int(g.replayQ[i].len())
+		for _, r := range g.replayQ[i].entries() {
 			h = h.Int(r.app).U64(r.pa).U64(r.vpn)
 			h = r.w.AppendDigest(h)
 		}

@@ -228,7 +228,7 @@ type GPU struct {
 
 	// Merged in-flight translations: key -> accesses awaiting the result.
 	transPending map[uint64][]migWaiter
-	replayQ      [][]replayReq // per SM: accesses parked on a full L1 MSHR
+	replayQ      []replayFIFO // per SM: accesses parked on a full L1 MSHR
 
 	// memInFlight counts per-app memReqs between sendToLLC and l1Fill; the
 	// detach quiescence check (attach.go) requires it to reach zero before a
@@ -303,11 +303,13 @@ type GPU struct {
 
 	// State-digest support (digest.go): component labels and waiter-hash
 	// callbacks are cached here so per-epoch digesting allocates nothing
-	// after the first call.
+	// after the first call. warpDigests memoises each warp's standalone
+	// hash within one snapshot (a warp waits on many MSHR lines).
 	digestSMNames    []string
 	digestSliceNames []string
 	hashWarpFn       func(any) digest.Hash
 	hashMemReqFn     func(any) digest.Hash
+	warpDigests      map[*sm.Warp]digest.Hash
 
 	// transVersion invalidates per-warp translation filters on any page
 	// migration or channel reallocation.
@@ -352,6 +354,45 @@ type replayReq struct {
 	pa  uint64
 	vpn uint64
 	w   *sm.Warp
+}
+
+// replayFIFO is one SM's queue of parked accesses, consumed from a head
+// index so a drain costs no shift-down copy. Consumed slots are zeroed (the
+// queue must not keep departed warps alive), and the live tail slides back
+// to the front only when an append would otherwise grow the backing array.
+type replayFIFO struct {
+	q    []replayReq
+	head int
+}
+
+func (f *replayFIFO) len() int { return len(f.q) - f.head }
+
+// entries returns the parked accesses, oldest first.
+func (f *replayFIFO) entries() []replayReq { return f.q[f.head:] }
+
+func (f *replayFIFO) push(r replayReq) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, r)
+}
+
+func (f *replayFIFO) pop() replayReq {
+	r := f.q[f.head]
+	f.q[f.head] = replayReq{}
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return r
+}
+
+// reset drops every parked access.
+func (f *replayFIFO) reset() {
+	clear(f.q)
+	f.q, f.head = f.q[:0], 0
 }
 
 // migJobReq is a queued page-migration request at the driver. attempts
@@ -417,7 +458,7 @@ func New(cfg config.Config, specs []AppSpec, opt Options) (*GPU, error) {
 		hbm:           dram.New(cfg, MaxApps),
 		vmm:           vm.NewManager(cfg, mapper, len(specs)),
 		transPending:  make(map[uint64][]migWaiter),
-		replayQ:       make([][]replayReq, cfg.NumSMs),
+		replayQ:       make([]replayFIFO, cfg.NumSMs),
 		migInFlight:   make(map[uint64]bool),
 		failedSMs:     make([]bool, cfg.NumSMs),
 		deadGroups:    make([]bool, cfg.ChannelGroups()),

@@ -107,7 +107,7 @@ func (g *GPU) l1AccessAsync(cycle uint64, smID, appID int, pa, vpn uint64, w *sm
 	mshr := g.smMSHR[smID]
 	alloc, ok := mshr.Add(line, w)
 	if !ok {
-		g.replayQ[smID] = append(g.replayQ[smID], replayReq{app: appID, pa: pa, vpn: vpn, w: w})
+		g.replayQ[smID].push(replayReq{app: appID, pa: pa, vpn: vpn, w: w})
 		return
 	}
 	if alloc {
@@ -255,20 +255,15 @@ func (g *GPU) l1Fill(at uint64, req *memReq) {
 	g.freeReqs = append(g.freeReqs, req)
 }
 
-// drainReplays re-attempts parked post-translation accesses now that MSHR
-// space freed up.
+// drainReplays re-attempts parked post-translation accesses, oldest first,
+// now that MSHR space freed up. An access that parks again goes to the tail
+// and waits for a later fill.
 func (g *GPU) drainReplays(at uint64, smID int) {
-	q := g.replayQ[smID]
-	if len(q) == 0 {
-		return
-	}
+	q := &g.replayQ[smID]
 	mshr := g.smMSHR[smID]
-	n := 0
-	for ; n < len(q) && !mshr.Full(); n++ {
-		r := q[n]
-		g.l1AccessAsyncNoPark(at, smID, r)
+	for n := q.len(); n > 0 && !mshr.Full(); n-- {
+		g.l1AccessAsyncNoPark(at, smID, q.pop())
 	}
-	g.replayQ[smID] = append(g.replayQ[smID][:0], q[n:]...)
 }
 
 // l1AccessAsyncNoPark is drainReplays' re-attempt; MSHR space was checked.
@@ -282,7 +277,7 @@ func (g *GPU) l1AccessAsyncNoPark(cycle uint64, smID int, r replayReq) {
 	line := r.pa >> g.lineShift
 	alloc, ok := g.smMSHR[smID].Add(line, r.w)
 	if !ok {
-		g.replayQ[smID] = append(g.replayQ[smID], r)
+		g.replayQ[smID].push(r)
 		return
 	}
 	if alloc {

@@ -15,6 +15,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ugpu/internal/trace"
 	"ugpu/internal/workload"
@@ -89,6 +90,7 @@ type Warp struct {
 	LastValid bool
 
 	sm          *SM
+	idx         int // position in sm.warps (its ready-mask bit); -1 once dropped
 	tb          int // TB slot index
 	blocked     bool
 	structStall bool     // blocked on a structural hazard (queued in sm retry list)
@@ -113,6 +115,9 @@ func (w *Warp) block() {
 	if !w.blocked {
 		w.blocked = true
 		w.sm.unready++
+		if w.idx >= 0 {
+			w.sm.clearReady(w.idx)
+		}
 	}
 }
 
@@ -120,6 +125,9 @@ func (w *Warp) unblock() {
 	if w.blocked {
 		w.blocked = false
 		w.sm.unready--
+		if w.idx >= 0 && !w.done {
+			w.sm.setReady(w.idx)
+		}
 		if w.sm.Wake != nil {
 			w.sm.Wake(w.sm)
 		}
@@ -167,9 +175,10 @@ type SM struct {
 	app   *App
 	state State
 
-	warps   []*Warp // age-ordered resident warps
-	current int     // greedy scheduler position (index into warps)
-	unready int     // warps blocked or done, for O(1) "nothing ready" checks
+	warps   []*Warp  // age-ordered resident warps
+	ready   []uint64 // bit i set: warps[i] is neither done nor blocked
+	current int      // greedy scheduler position (index into warps)
+	unready int      // warps blocked or done, for O(1) "nothing ready" checks
 	retry   []*Warp // warps with structurally-rejected loads to replay
 
 	switchUntil uint64
@@ -196,6 +205,7 @@ func New(id, tbsPerSM, warpsPerTB, schedulers int) *SM {
 		ID:         id,
 		warpsPerTB: warpsPerTB,
 		tbSlots:    make([]tbSlot, tbsPerSM),
+		ready:      make([]uint64, (tbsPerSM*warpsPerTB+63)/64),
 		schedulers: schedulers,
 		state:      Idle,
 		tbStart:    make([]uint64, tbsPerSM),
@@ -234,9 +244,7 @@ func (s *SM) Fail(cycle uint64) {
 	s.state = Failed
 	s.app = nil
 	s.onFree = nil
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
-	s.unready = 0
+	s.dropWarps()
 	s.current = 0
 	for i := range s.tbSlots {
 		s.tbSlots[i] = tbSlot{}
@@ -293,10 +301,8 @@ func (s *SM) Assign(cycle uint64, app *App) {
 	s.Trace.Emit(trace.KSMAssign, cycle, int32(app.ID), int32(s.ID), 0, 0, 0)
 	s.app = app
 	s.state = Active
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
+	s.dropWarps()
 	s.current = 0
-	s.unready = 0
 	for i := range s.tbSlots {
 		s.fillTB(cycle, i)
 	}
@@ -335,9 +341,11 @@ func (s *SM) fillTB(cycle uint64, slot int) {
 		app.Dispatcher.InitWarpStream(w.Stream, tb, wi, app.PageBytes, seed)
 		w.MaxOut = tb.Kernel.MaxOutstanding
 		w.sm = s
+		w.idx = len(s.warps)
 		w.tb = slot
 		slotWarps[wi] = w
 		s.warps = append(s.warps, w)
+		s.setReady(w.idx)
 	}
 	s.tbSlots[slot] = tbSlot{warps: slotWarps, liveWarp: s.warpsPerTB, valid: true}
 	s.tbStart[slot] = cycle
@@ -367,9 +375,7 @@ func (s *SM) BeginSwitch(cycle, readyAt uint64, onFree func(cycle uint64, s *SM)
 	s.switchUntil = readyAt
 	// Drop resident warps: their context is saved and will resume when the
 	// application next gets this SM (modelled as re-dispatching TBs).
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
-	s.unready = 0
+	s.dropWarps()
 	for i := range s.tbSlots {
 		s.tbSlots[i] = tbSlot{}
 	}
@@ -391,9 +397,7 @@ func (s *SM) residentWarps() int {
 func (s *SM) finishFree(cycle uint64) {
 	s.state = Idle
 	s.app = nil
-	s.warps = s.warps[:0]
-	s.retry = s.retry[:0]
-	s.unready = 0
+	s.dropWarps()
 	for i := range s.tbSlots {
 		s.tbSlots[i] = tbSlot{}
 	}
@@ -432,26 +436,38 @@ func (s *SM) Tick(cycle uint64, port Port) {
 }
 
 // pickWarp implements GTO: stay on the current warp while it is ready;
-// otherwise take the oldest ready warp. The unready counter makes the
-// all-stalled case O(1), which dominates in memory-bound phases.
+// otherwise take the oldest ready warp. The ready mask answers both without
+// dereferencing a warp, and makes the all-stalled case (which dominates in
+// memory-bound phases) a scan of one word per 64 warps.
 func (s *SM) pickWarp() *Warp {
-	n := len(s.warps)
-	if n == 0 || s.unready >= n {
-		return nil
+	if c := s.current; c < len(s.warps) && s.ready[c>>6]&(1<<(c&63)) != 0 {
+		return s.warps[c]
 	}
-	if s.current < n {
-		if w := s.warps[s.current]; !w.done && !w.blocked {
-			return w
-		}
-	}
-	for i := 0; i < n; i++ {
-		w := s.warps[i]
-		if !w.done && !w.blocked {
-			s.current = i
-			return w
+	for i, word := range s.ready {
+		if word != 0 {
+			s.current = i<<6 + bits.TrailingZeros64(word)
+			return s.warps[s.current]
 		}
 	}
 	return nil
+}
+
+func (s *SM) setReady(i int)   { s.ready[i>>6] |= 1 << (i & 63) }
+func (s *SM) clearReady(i int) { s.ready[i>>6] &^= 1 << (i & 63) }
+
+// dropWarps discards every resident warp (and the structural-retry list).
+// Dropped warps are orphaned, not recycled: their in-flight loads still
+// complete onto them, so each is detached from the ready mask first.
+func (s *SM) dropWarps() {
+	for i, w := range s.warps {
+		w.idx = -1
+		s.warps[i] = nil
+	}
+	s.warps = s.warps[:0]
+	clear(s.ready)
+	clear(s.retry)
+	s.retry = s.retry[:0]
+	s.unready = 0
 }
 
 // issue runs one warp instruction (or retries its pending loads). It
@@ -478,6 +494,7 @@ func (s *SM) issue(cycle uint64, w *Warp, port Port) bool {
 		if !w.blocked {
 			s.unready++ // done warps are permanently unready
 		}
+		s.clearReady(w.idx)
 		s.completeWarp(cycle, w)
 	}
 	return true
@@ -572,24 +589,30 @@ func (s *SM) completeWarp(cycle uint64, w *Warp) {
 	}
 }
 
-// compactWarps removes completed warps from the age list and recomputes the
-// unready counter. Completed warps that nothing downstream can still
-// reference — no outstanding loads (which covers in-flight fills, MSHR
-// waiters, and merged translations) and no pending addresses (which covers
-// the structural-retry list) — are recycled into the warp freelist.
+// compactWarps removes completed warps from the age list and rebuilds the
+// ready mask and the unready counter. Completed warps that nothing
+// downstream can still reference — no outstanding loads (which covers
+// in-flight fills, MSHR waiters, and merged translations) and no pending
+// addresses (which covers the structural-retry list) — are recycled into the
+// warp freelist.
 func (s *SM) compactWarps() {
 	live := s.warps[:0]
 	unready := 0
+	clear(s.ready)
 	for _, w := range s.warps {
 		if w.done {
+			w.idx = -1
 			if w.Outstanding == 0 && len(w.pending) == 0 {
 				s.freeWarps = append(s.freeWarps, w)
 			}
 			continue
 		}
+		w.idx = len(live)
 		live = append(live, w)
 		if w.blocked {
 			unready++
+		} else {
+			s.setReady(w.idx)
 		}
 	}
 	tail := s.warps[len(live):]

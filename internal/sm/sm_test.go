@@ -248,3 +248,60 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Error("ResetStats did not clear counters")
 	}
 }
+
+// fifoPort completes every load a fixed latency after issue. Completions
+// leave in issue order, so a ring holds them without per-tick filtering.
+type fifoPort struct {
+	latency    uint64
+	ring       []*Warp
+	at         []uint64
+	head, size int
+}
+
+func (p *fifoPort) IssueLoad(cycle uint64, _, _ int, _ uint64, w *Warp) bool {
+	if p.size == len(p.ring) {
+		return false // structural hazard: the load retries
+	}
+	i := (p.head + p.size) % len(p.ring)
+	p.ring[i], p.at[i] = w, cycle+p.latency
+	p.size++
+	return true
+}
+
+func (p *fifoPort) tick(cycle uint64) {
+	for p.size > 0 && p.at[p.head] <= cycle {
+		w := p.ring[p.head]
+		p.ring[p.head] = nil
+		p.head = (p.head + 1) % len(p.ring)
+		p.size--
+		w.LoadDone()
+	}
+}
+
+// BenchmarkTick prices one SM cycle of a memory-bound kernel (LBM on a full
+// 64-warp SM behind a 300-cycle, 512-entry memory): warp selection, issue,
+// load completion and structural retry. Steady state allocates nothing.
+func BenchmarkTick(b *testing.B) {
+	bench, err := workload.ByAbbr("LBM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(0, 8, 8, 2)
+	s.Assign(0, &App{ID: 0, Dispatcher: workload.NewDispatcher(bench, 16, 4096), PageBytes: 4096, SeedBase: 7})
+	p := &fifoPort{latency: 300, ring: make([]*Warp, 512), at: make([]uint64, 512)}
+	cycle := uint64(0)
+	step := func() {
+		p.tick(cycle)
+		s.Tick(cycle, p)
+		s.RetryBlocked(cycle, p)
+		cycle++
+	}
+	for i := 0; i < 200_000; i++ {
+		step() // warm the warp freelist and address buffers
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
