@@ -49,7 +49,9 @@ func (g *GPU) ensureDigestSupport() {
 }
 
 // warpDigest is the warp's standalone content hash, computed once per
-// snapshot (DigestComponents clears the memo).
+// snapshot (DigestComponents clears the memo). MSHR waiters and replay-queue
+// entries fold a warp through it, so a warp parked on many lines is hashed
+// once.
 func (g *GPU) warpDigest(w *sm.Warp) digest.Hash {
 	h, ok := g.warpDigests[w]
 	if !ok {
@@ -111,8 +113,7 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 		h = g.smL1TLB[i].AppendDigest(h)
 		h = h.U64(g.smBase[i]).Int(g.replayQ[i].len())
 		for _, r := range g.replayQ[i].entries() {
-			h = h.Int(r.app).U64(r.pa).U64(r.vpn)
-			h = r.w.AppendDigest(h)
+			h = h.Int(r.app).U64(r.pa).U64(r.vpn).U64(uint64(g.warpDigest(r.w)))
 		}
 		rec.Add(g.digestSMNames[i], h)
 	}
