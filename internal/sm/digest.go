@@ -50,7 +50,7 @@ func (w *Warp) AppendDigest(h digest.Hash) digest.Hash {
 func (s *SM) AppendDigest(h digest.Hash) digest.Hash {
 	h = h.Int(s.ID).Int(int(s.state)).Int(s.AppID()).
 		U64(s.switchUntil).Bool(s.onFree != nil).
-		F64(s.tbDurationEMA).Int(s.current).Int(s.unready)
+		F64(s.tbDurationEMA).Int(s.current).Int(s.unready())
 	for _, at := range s.tbStart {
 		h = h.U64(at)
 	}

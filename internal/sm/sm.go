@@ -111,10 +111,13 @@ func (w *Warp) LoadDone() {
 	}
 }
 
+// block and unblock track the warp's own MLP/structural stall. Only a
+// resident warp (idx >= 0) reports the change to its SM: a warp dropped by
+// a switch, release or failure still receives its in-flight loads, but it
+// no longer belongs to any scheduler.
 func (w *Warp) block() {
 	if !w.blocked {
 		w.blocked = true
-		w.sm.unready++
 		if w.idx >= 0 {
 			w.sm.clearReady(w.idx)
 		}
@@ -124,8 +127,10 @@ func (w *Warp) block() {
 func (w *Warp) unblock() {
 	if w.blocked {
 		w.blocked = false
-		w.sm.unready--
-		if w.idx >= 0 && !w.done {
+		if w.idx < 0 {
+			return
+		}
+		if !w.done {
 			w.sm.setReady(w.idx)
 		}
 		if w.sm.Wake != nil {
@@ -178,7 +183,6 @@ type SM struct {
 	warps   []*Warp  // age-ordered resident warps
 	ready   []uint64 // bit i set: warps[i] is neither done nor blocked
 	current int      // greedy scheduler position (index into warps)
-	unready int      // warps blocked or done, for O(1) "nothing ready" checks
 	retry   []*Warp // warps with structurally-rejected loads to replay
 
 	switchUntil uint64
@@ -467,7 +471,6 @@ func (s *SM) dropWarps() {
 	clear(s.ready)
 	clear(s.retry)
 	s.retry = s.retry[:0]
-	s.unready = 0
 }
 
 // issue runs one warp instruction (or retries its pending loads). It
@@ -491,9 +494,6 @@ func (s *SM) issue(cycle uint64, w *Warp, port Port) bool {
 	}
 	if w.Stream.Done() {
 		w.done = true
-		if !w.blocked {
-			s.unready++ // done warps are permanently unready
-		}
 		s.clearReady(w.idx)
 		s.completeWarp(cycle, w)
 	}
@@ -590,14 +590,13 @@ func (s *SM) completeWarp(cycle uint64, w *Warp) {
 }
 
 // compactWarps removes completed warps from the age list and rebuilds the
-// ready mask and the unready counter. Completed warps that nothing
+// ready mask. Completed warps that nothing
 // downstream can still reference — no outstanding loads (which covers
 // in-flight fills, MSHR waiters, and merged translations) and no pending
 // addresses (which covers the structural-retry list) — are recycled into the
 // warp freelist.
 func (s *SM) compactWarps() {
 	live := s.warps[:0]
-	unready := 0
 	clear(s.ready)
 	for _, w := range s.warps {
 		if w.done {
@@ -609,9 +608,7 @@ func (s *SM) compactWarps() {
 		}
 		w.idx = len(live)
 		live = append(live, w)
-		if w.blocked {
-			unready++
-		} else {
+		if !w.blocked {
 			s.setReady(w.idx)
 		}
 	}
@@ -620,7 +617,6 @@ func (s *SM) compactWarps() {
 		tail[i] = nil
 	}
 	s.warps = live
-	s.unready = unready
 	if s.current >= len(s.warps) {
 		s.current = 0
 	}
@@ -629,11 +625,27 @@ func (s *SM) compactWarps() {
 // ResidentWarps reports live warps (for tests and occupancy metrics).
 func (s *SM) ResidentWarps() int { return s.residentWarps() }
 
-// CanIssue reports whether at least one resident warp is schedulable — the
-// O(1) check pickWarp uses. While false (and the retry list is empty and the
+// CanIssue reports whether at least one resident warp is schedulable: a set
+// bit in the ready mask, exactly what pickWarp looks for. While false (and the retry list is empty and the
 // state does not change), Tick only accrues one active and one stall cycle,
 // which AccrueStall can replicate in closed form.
-func (s *SM) CanIssue() bool { return len(s.warps) > 0 && s.unready < len(s.warps) }
+func (s *SM) CanIssue() bool {
+	for _, word := range s.ready {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// unready counts resident warps that cannot issue (blocked or done).
+func (s *SM) unready() int {
+	n := len(s.warps)
+	for _, word := range s.ready {
+		n -= bits.OnesCount64(word)
+	}
+	return n
+}
 
 // RetryLen reports warps parked on the structural-retry list.
 func (s *SM) RetryLen() int { return len(s.retry) }

@@ -305,3 +305,57 @@ func BenchmarkTick(b *testing.B) {
 		step()
 	}
 }
+
+// TestOrphanedLoadsLeaveSchedulerAlone is a regression test: loads that
+// return after a context switch dropped their warps used to decrement the
+// old SM's unready count (to -4 on an idle SM after a switch with four
+// blocked warps) and, once the SM had a new tenant, made CanIssue report a
+// ready warp where there was none. Completions on dropped warps must leave
+// the SM's scheduler state and wake hook untouched.
+func TestOrphanedLoadsLeaveSchedulerAlone(t *testing.T) {
+	s := New(0, 8, 8, 2)
+	s.Assign(0, newApp(t, "LBM", 0))
+	p := &fakePort{latency: 1 << 30} // nothing returns before the switch
+	for c := uint64(0); c < 2000; c++ {
+		s.Tick(c, p)
+		s.RetryBlocked(c, p)
+	}
+	if s.BlockedWarps() == 0 {
+		t.Fatal("memory-bound warps never blocked")
+	}
+	wakes := 0
+	s.Wake = func(*SM) { wakes++ }
+	s.BeginSwitch(2000, 2100, nil)
+	s.Tick(2100, p) // switch completes; the SM is idle
+	if s.State() != Idle {
+		t.Fatalf("state = %v, want idle", s.State())
+	}
+	half := len(p.inflight) / 2
+	wakes = 0
+	for _, f := range p.inflight[:half] {
+		f.w.LoadDone()
+	}
+	if got := s.unready(); got != 0 || s.CanIssue() || wakes != 0 {
+		t.Errorf("idle SM after orphaned loads: unready = %d, CanIssue = %v, wakes = %d; want 0, false, 0", got, s.CanIssue(), wakes)
+	}
+
+	// Reassign, block every new warp, then let the rest of the old
+	// tenant's loads return.
+	s.Assign(2101, newApp(t, "LBM", 1))
+	q := &fakePort{latency: 1 << 30}
+	for c := uint64(2101); s.CanIssue() && c < 100_000; c++ {
+		s.Tick(c, q)
+		s.RetryBlocked(c, q)
+	}
+	if s.CanIssue() {
+		t.Fatal("new tenant's warps never all blocked")
+	}
+	wakes = 0
+	for _, f := range p.inflight[half:] {
+		f.w.LoadDone()
+	}
+	if s.CanIssue() || s.unready() != len(s.warps) || wakes != 0 {
+		t.Errorf("after orphaned loads on a reassigned SM: CanIssue = %v, unready = %d of %d warps, wakes = %d; want false, all, 0",
+			s.CanIssue(), s.unready(), len(s.warps), wakes)
+	}
+}
