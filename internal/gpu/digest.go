@@ -9,7 +9,7 @@ package gpu
 //
 // Excluded (non-semantic or mode-dependent observation state):
 //   - object pools and scratch (freeReqs, freeDramReqs, freeWaiters,
-//     epochDeltas/epochOut, the warpDigests memo, the wheel's spare pool),
+//     epochDeltas/epochOut, the wheel's spare pool) and digestGen,
 //   - the fast-forward engine's bookkeeping (activeSM, smInSet, smParked,
 //     smParkedAt, switchingInSet, pendingWakes, ffStats) — it exists only in
 //     one mode; the lazily-accrued stall statistics it defers are settled
@@ -32,8 +32,7 @@ func (g *GPU) ensureDigestSupport() {
 	if g.hashWarpFn != nil {
 		return
 	}
-	g.warpDigests = make(map[*sm.Warp]digest.Hash)
-	g.hashWarpFn = func(a any) digest.Hash { return g.warpDigest(a.(*sm.Warp)) }
+	g.hashWarpFn = func(a any) digest.Hash { return a.(*sm.Warp).DigestOnce(g.digestGen) }
 	g.hashMemReqFn = func(a any) digest.Hash {
 		r := a.(*memReq)
 		return digest.New().Int(r.app).Int(r.sm).Int(r.slice).U64(r.pa).U64(r.vpn)
@@ -46,19 +45,6 @@ func (g *GPU) ensureDigestSupport() {
 	for i := range g.digestSliceNames {
 		g.digestSliceNames[i] = "llc" + strconv.Itoa(i)
 	}
-}
-
-// warpDigest is the warp's standalone content hash, computed once per
-// snapshot (DigestComponents clears the memo). MSHR waiters and replay-queue
-// entries fold a warp through it, so a warp parked on many lines is hashed
-// once.
-func (g *GPU) warpDigest(w *sm.Warp) digest.Hash {
-	h, ok := g.warpDigests[w]
-	if !ok {
-		h = w.AppendDigest(digest.New())
-		g.warpDigests[w] = h
-	}
-	return h
 }
 
 func hashWheelEvent(ev *wheelEvent) digest.Hash {
@@ -92,7 +78,7 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 	g.ensureDigestSupport()
 	g.settleParked()
 	rec.Reset()
-	clear(g.warpDigests)
+	g.digestGen++
 
 	h := digest.New().U64(g.cycle).U64(g.epochStart).U64(g.transVersion).
 		U64(g.checkTick).U64(g.dataMigCycles).U64(g.smMigCycles).
@@ -113,7 +99,7 @@ func (g *GPU) DigestComponents(rec *digest.Recorder) {
 		h = g.smL1TLB[i].AppendDigest(h)
 		h = h.U64(g.smBase[i]).Int(g.replayQ[i].len())
 		for _, r := range g.replayQ[i].entries() {
-			h = h.Int(r.app).U64(r.pa).U64(r.vpn).U64(uint64(g.warpDigest(r.w)))
+			h = h.Int(r.app).U64(r.pa).U64(r.vpn).U64(uint64(r.w.DigestOnce(g.digestGen)))
 		}
 		rec.Add(g.digestSMNames[i], h)
 	}

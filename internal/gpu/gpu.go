@@ -303,13 +303,13 @@ type GPU struct {
 
 	// State-digest support (digest.go): component labels and waiter-hash
 	// callbacks are cached here so per-epoch digesting allocates nothing
-	// after the first call. warpDigests memoises each warp's standalone
-	// hash within one snapshot (a warp waits on many MSHR lines).
+	// after the first call. digestGen numbers snapshots for the warps'
+	// per-snapshot hash memo (sm.Warp.DigestOnce).
 	digestSMNames    []string
 	digestSliceNames []string
 	hashWarpFn       func(any) digest.Hash
 	hashMemReqFn     func(any) digest.Hash
-	warpDigests      map[*sm.Warp]digest.Hash
+	digestGen        uint64
 
 	// transVersion invalidates per-warp translation filters on any page
 	// migration or channel reallocation.

@@ -2,7 +2,7 @@ package sm
 
 // State digests (ISSUE 9): every field that can influence a future cycle
 // folds in; observation-only and pooling state (freeWarps, addrBuf, Trace,
-// Wake) is excluded. Warp and scheduler order are themselves deterministic
+// Wake, a warp's idx and digest memo) is excluded. Warp and scheduler order are themselves deterministic
 // across execution modes, so slices fold in place — no canonicalization
 // beyond the field ordering fixed here.
 
@@ -41,6 +41,17 @@ func (w *Warp) AppendDigest(h digest.Hash) digest.Hash {
 		h = h.U64(va)
 	}
 	return h
+}
+
+// DigestOnce returns the warp's standalone digest (AppendDigest onto a fresh
+// hash), computed at most once per snapshot: gen identifies the snapshot
+// and must be nonzero and new for each one. A warp waiting on many MSHR
+// lines is then hashed once.
+func (w *Warp) DigestOnce(gen uint64) digest.Hash {
+	if w.digestGen != gen {
+		w.digestGen, w.digestMemo = gen, w.AppendDigest(digest.New())
+	}
+	return w.digestMemo
 }
 
 // AppendDigest folds the SM's scheduler, TB, and counter state. Call only at

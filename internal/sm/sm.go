@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ugpu/internal/digest"
 	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
@@ -96,6 +97,11 @@ type Warp struct {
 	structStall bool     // blocked on a structural hazard (queued in sm retry list)
 	pending     []uint64 // generated but not-yet-accepted load addresses
 	done        bool
+
+	// digestGen/digestMemo memoise the standalone digest for one snapshot
+	// (DigestOnce); observation only.
+	digestGen  uint64
+	digestMemo digest.Hash
 }
 
 // LoadDone signals one returned load. It may be called with a completion
@@ -183,7 +189,7 @@ type SM struct {
 	warps   []*Warp  // age-ordered resident warps
 	ready   []uint64 // bit i set: warps[i] is neither done nor blocked
 	current int      // greedy scheduler position (index into warps)
-	retry   []*Warp // warps with structurally-rejected loads to replay
+	retry   []*Warp  // warps with structurally-rejected loads to replay
 
 	switchUntil uint64
 	onFree      func(cycle uint64, s *SM) // drain/switch completion callback
@@ -590,11 +596,10 @@ func (s *SM) completeWarp(cycle uint64, w *Warp) {
 }
 
 // compactWarps removes completed warps from the age list and rebuilds the
-// ready mask. Completed warps that nothing
-// downstream can still reference — no outstanding loads (which covers
-// in-flight fills, MSHR waiters, and merged translations) and no pending
-// addresses (which covers the structural-retry list) — are recycled into the
-// warp freelist.
+// ready mask. Completed warps that nothing downstream can still reference —
+// no outstanding loads (which covers in-flight fills, MSHR waiters, and
+// merged translations) and no pending addresses (which covers the
+// structural-retry list) — are recycled into the warp freelist.
 func (s *SM) compactWarps() {
 	live := s.warps[:0]
 	clear(s.ready)
@@ -626,9 +631,10 @@ func (s *SM) compactWarps() {
 func (s *SM) ResidentWarps() int { return s.residentWarps() }
 
 // CanIssue reports whether at least one resident warp is schedulable: a set
-// bit in the ready mask, exactly what pickWarp looks for. While false (and the retry list is empty and the
-// state does not change), Tick only accrues one active and one stall cycle,
-// which AccrueStall can replicate in closed form.
+// bit in the ready mask, exactly what pickWarp looks for. While false (and
+// the retry list is empty and the state does not change), Tick only accrues
+// one active and one stall cycle, which AccrueStall can replicate in closed
+// form.
 func (s *SM) CanIssue() bool {
 	for _, word := range s.ready {
 		if word != 0 {
