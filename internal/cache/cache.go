@@ -182,8 +182,8 @@ func (c *Cache) CheckInvariants() bool {
 
 // MSHR tracks outstanding misses and merges requests to the same line. It
 // is a fixed open-addressed table of at least twice capacity slots (linear
-// probing, backward-shift deletion), so lookups touch one or two adjacent
-// slots and the table never rehashes. Waiter slices retired via Recycle are
+// probing, backward-shift deletion): at most half full, so probe chains stay
+// short, and it never rehashes. Waiter slices retired via Recycle are
 // reused for later allocations, so the steady-state miss path does not
 // allocate per outstanding line.
 type MSHR struct {
@@ -240,9 +240,6 @@ func (m *MSHR) find(line uint64) (int, bool) {
 
 // Lookup reports whether a miss for the line is already outstanding.
 func (m *MSHR) Lookup(line uint64) bool {
-	if m.n == 0 {
-		return false
-	}
 	_, ok := m.find(line)
 	return ok
 }
@@ -281,9 +278,6 @@ func (m *MSHR) Add(line uint64, waiter any) (allocated, ok bool) {
 // were outstanding). Callers that fully consume the returned slice should
 // hand it back via Recycle.
 func (m *MSHR) Remove(line uint64) []any {
-	if m.n == 0 {
-		return nil
-	}
 	i, ok := m.find(line)
 	if !ok {
 		return nil
