@@ -2,9 +2,9 @@ package sm
 
 // State digests (ISSUE 9): every field that can influence a future cycle
 // folds in; observation-only and pooling state (freeWarps, addrBuf, Trace,
-// Wake, a warp's idx and digest memo) is excluded. Warp and scheduler order are themselves deterministic
-// across execution modes, so slices fold in place — no canonicalization
-// beyond the field ordering fixed here.
+// Wake, a warp's idx and digest memo) is excluded. Warp and scheduler order
+// are themselves deterministic across execution modes, so slices fold in
+// place — no canonicalization beyond the field ordering fixed here.
 
 import "ugpu/internal/digest"
 
