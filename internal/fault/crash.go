@@ -47,22 +47,11 @@ func PlanGPUCrashes(seed int64, gpus, crashes int, horizon uint64) []Crash {
 	// intra-GPU schedules an injector with the same seed would plan.
 	rng := splitmix64(uint64(seed)*0x94d049bb133111eb + 0x9e3779b97f4a7c15)
 
-	if horizon < 100 {
-		horizon = 100
-	}
-	lo := horizon / 5     // 20%
-	hi := horizon * 4 / 5 // 80%
-	step := (hi - lo) / uint64(crashes+1)
-	if step == 0 {
-		step = 1
-	}
-
+	slots := newMiddleBand(horizon).spread(crashes, 0)
 	victims := pickDistinct(&rng, gpus, crashes)
 	plan := make([]Crash, 0, crashes)
 	for i, g := range victims {
-		base := lo + uint64(i+1)*step
-		jitter := rng.next() % (step/2 + 1)
-		plan = append(plan, Crash{Cycle: base + jitter, GPU: g})
+		plan = append(plan, Crash{Cycle: slots.at(&rng, i), GPU: g})
 	}
 	sort.Slice(plan, func(a, b int) bool {
 		if plan[a].Cycle != plan[b].Cycle {

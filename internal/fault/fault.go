@@ -130,26 +130,12 @@ const specGrammar = `grammar: "sm=N,group=N,bank=N,noc=P,mig=P" — N a non-nega
 // accepted grammar.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
-		return spec, nil
-	}
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(tok, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("fault spec: token %q is not key=value (%s)", tok, specGrammar)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
+	err := parseKV(s, "fault spec", specGrammar, func(key, val string) error {
 		switch key {
 		case "sm", "group", "bank":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
-				return Spec{}, fmt.Errorf("fault spec: field %s has value %q, want a non-negative integer count (%s)", key, val, specGrammar)
+				return fmt.Errorf("fault spec: field %s has value %q, want a non-negative integer count (%s)", key, val, specGrammar)
 			}
 			switch key {
 			case "sm":
@@ -165,7 +151,7 @@ func ParseSpec(s string) (Spec, error) {
 			// (both are false for NaN) and would poison every later
 			// threshold test in the sampler.
 			if err != nil || p != p || p < 0 || p >= 1 {
-				return Spec{}, fmt.Errorf("fault spec: field %s has value %q, want a probability in [0,1) (%s)", key, val, specGrammar)
+				return fmt.Errorf("fault spec: field %s has value %q, want a probability in [0,1) (%s)", key, val, specGrammar)
 			}
 			if key == "noc" {
 				spec.NoCDrop = p
@@ -173,10 +159,39 @@ func ParseSpec(s string) (Spec, error) {
 				spec.MigNACK = p
 			}
 		default:
-			return Spec{}, fmt.Errorf("fault spec: unknown field %q, accepted fields are sm, group, bank, noc, mig (%s)", key, specGrammar)
+			return fmt.Errorf("fault spec: unknown field %q, accepted fields are sm, group, bank, noc, mig (%s)", key, specGrammar)
 		}
+		return nil
+	})
+	if err != nil {
+		return Spec{}, err
 	}
 	return spec, nil
+}
+
+// parseKV is the tokenizer both spec grammars share: it splits s on commas,
+// skips empty tokens, and hands each trimmed key=value pair to set in
+// order. "" and "none" hold no pairs. what names the grammar in the error
+// for a token without '=', which quotes grammar; set's errors pass through.
+func parseKV(s, what, grammar string, set func(key, val string) error) error {
+	s = strings.TrimSpace(s)
+	if s == "" || s == "none" {
+		return nil
+	}
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		key, val, ok := strings.Cut(tok, "=")
+		if !ok {
+			return fmt.Errorf("%s: token %q is not key=value (%s)", what, tok, grammar)
+		}
+		if err := set(strings.TrimSpace(key), strings.TrimSpace(val)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Geometry gives the injector the machine shape it plans over.
@@ -281,33 +296,16 @@ func NewInjector(seed int64, spec Spec, geo Geometry) *Injector {
 
 	total := nSM + nGrp + nBank
 	if total > 0 {
-		horizon := geo.Horizon
-		if horizon < 100 {
-			horizon = 100
-		}
-		lo := horizon / 5     // 20%
-		hi := horizon * 4 / 5 // 80%
-		span := hi - lo
-		step := span / uint64(total+1)
-		if step == 0 {
-			step = 1
-		}
-
+		slots := newMiddleBand(geo.Horizon).spread(total, 0)
 		smPick := pickDistinct(&planRng, geo.NumSMs, nSM)
 		grpPick := pickDistinct(&planRng, geo.NumGroups, nGrp)
-
-		slot := func(i int) uint64 {
-			base := lo + uint64(i+1)*step
-			jitter := planRng.next() % (step/2 + 1)
-			return base + jitter
-		}
 		idx := 0
 		for _, smID := range smPick {
-			inj.plan = append(inj.plan, Event{Cycle: slot(idx), Kind: SMFail, Unit: smID})
+			inj.plan = append(inj.plan, Event{Cycle: slots.at(&planRng, idx), Kind: SMFail, Unit: smID})
 			idx++
 		}
 		for _, g := range grpPick {
-			inj.plan = append(inj.plan, Event{Cycle: slot(idx), Kind: GroupFail, Unit: g})
+			inj.plan = append(inj.plan, Event{Cycle: slots.at(&planRng, idx), Kind: GroupFail, Unit: g})
 			idx++
 		}
 		banksPerCh := geo.BankGroups * geo.BanksPerGroup
@@ -315,7 +313,7 @@ func NewInjector(seed int64, spec Spec, geo Geometry) *Injector {
 			ch := planRng.intn(geo.NumChannels)
 			bank := planRng.intn(banksPerCh)
 			dur := 2000 + planRng.next()%8001
-			inj.plan = append(inj.plan, Event{Cycle: slot(idx), Kind: BankFault, Unit: ch, Aux: bank, Duration: dur})
+			inj.plan = append(inj.plan, Event{Cycle: slots.at(&planRng, idx), Kind: BankFault, Unit: ch, Aux: bank, Duration: dur})
 			idx++
 		}
 		sort.Slice(inj.plan, func(a, b int) bool {
@@ -333,6 +331,40 @@ func NewInjector(seed int64, spec Spec, geo Geometry) *Injector {
 		})
 	}
 	return inj
+}
+
+// middleBand is where every planner places its events: the middle 60% of
+// the horizon (20%..80%), so each event has warm-up before it and
+// observable aftermath behind it. Horizons under 100 cycles plan as 100.
+type middleBand struct {
+	horizon, lo, hi uint64
+}
+
+func newMiddleBand(horizon uint64) middleBand {
+	if horizon < 100 {
+		horizon = 100
+	}
+	return middleBand{horizon: horizon, lo: horizon / 5, hi: horizon * 4 / 5}
+}
+
+// spread spaces n event starts evenly across the band, leaving tail cycles
+// free at its end (a degradation window's length).
+func (b middleBand) spread(n int, tail uint64) bandSlots {
+	step := (b.hi - tail - b.lo) / uint64(n+1)
+	if step == 0 {
+		step = 1
+	}
+	return bandSlots{lo: b.lo, step: step}
+}
+
+// bandSlots places the i-th of n evenly spread events.
+type bandSlots struct{ lo, step uint64 }
+
+// at returns event i's cycle: its even slot plus a seeded jitter of up to
+// half a step. It draws exactly one value from rng.
+func (s bandSlots) at(rng *splitmix64, i int) uint64 {
+	base := s.lo + uint64(i+1)*s.step
+	return base + rng.next()%(s.step/2+1)
 }
 
 // pickDistinct draws k distinct ints from [0,n) in seeded order.

@@ -97,26 +97,12 @@ const graySpecGrammar = `grammar: "gpus=N,sm=D,hbm=D,noc=P,window=F" — N victi
 // offending field and restates the accepted grammar.
 func ParseGraySpec(s string) (GraySpec, error) {
 	var spec GraySpec
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
-		return spec, nil
-	}
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(tok, "=")
-		if !ok {
-			return GraySpec{}, fmt.Errorf("gray spec: token %q is not key=value (%s)", tok, graySpecGrammar)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
+	err := parseKV(s, "gray spec", graySpecGrammar, func(key, val string) error {
 		switch key {
 		case "gpus", "sm", "hbm":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
-				return GraySpec{}, fmt.Errorf("gray spec: field %s has value %q, want a non-negative integer (%s)", key, val, graySpecGrammar)
+				return fmt.Errorf("gray spec: field %s has value %q, want a non-negative integer (%s)", key, val, graySpecGrammar)
 			}
 			switch key {
 			case "gpus":
@@ -131,18 +117,22 @@ func ParseGraySpec(s string) (GraySpec, error) {
 			// p != p rejects NaN, which sails through range comparisons and
 			// would poison every later threshold test in the drop sampler.
 			if err != nil || p != p || p < 0 || p >= 1 {
-				return GraySpec{}, fmt.Errorf("gray spec: field noc has value %q, want a probability in [0,1) (%s)", val, graySpecGrammar)
+				return fmt.Errorf("gray spec: field noc has value %q, want a probability in [0,1) (%s)", val, graySpecGrammar)
 			}
 			spec.NoCDrop = p
 		case "window":
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil || f != f || f <= 0 || f > 1 {
-				return GraySpec{}, fmt.Errorf("gray spec: field window has value %q, want a horizon fraction in (0,1] (%s)", val, graySpecGrammar)
+				return fmt.Errorf("gray spec: field window has value %q, want a horizon fraction in (0,1] (%s)", val, graySpecGrammar)
 			}
 			spec.Window = f
 		default:
-			return GraySpec{}, fmt.Errorf("gray spec: unknown field %q, accepted fields are gpus, sm, hbm, noc, window (%s)", key, graySpecGrammar)
+			return fmt.Errorf("gray spec: unknown field %q, accepted fields are gpus, sm, hbm, noc, window (%s)", key, graySpecGrammar)
 		}
+		return nil
+	})
+	if err != nil {
+		return GraySpec{}, err
 	}
 	return spec, nil
 }
@@ -188,33 +178,23 @@ func PlanGrayFaults(seed int64, gpus int, spec GraySpec, horizon uint64) []GrayF
 	// crash schedule or intra-GPU plans a seed-sharing injector would build.
 	rng := splitmix64(uint64(seed)*0xd1b54a32d192ed03 + 0x94d049bb133111eb)
 
-	if horizon < 100 {
-		horizon = 100
-	}
-	lo := horizon / 5     // 20%
-	hi := horizon * 4 / 5 // 80%
-	winLen := uint64(spec.Window * float64(horizon))
-	if winLen > hi-lo {
-		winLen = hi - lo
+	band := newMiddleBand(horizon)
+	winLen := uint64(spec.Window * float64(band.horizon))
+	if winLen > band.hi-band.lo {
+		winLen = band.hi - band.lo
 	}
 	if winLen == 0 {
 		winLen = 1
 	}
-	span := hi - winLen - lo
-	step := span / uint64(n+1)
-	if step == 0 {
-		step = 1
-	}
+	slots := band.spread(n, winLen)
 
 	victims := pickDistinct(&rng, gpus, n)
 	plan := make([]GrayFault, 0, n)
 	for i, g := range victims {
-		base := lo + uint64(i+1)*step
-		jitter := rng.next() % (step/2 + 1)
-		start := base + jitter
+		start := slots.at(&rng, i)
 		end := start + winLen
-		if end > hi {
-			end = hi
+		if end > band.hi {
+			end = band.hi
 		}
 		plan = append(plan, GrayFault{
 			Start: start, End: end, GPU: g,
