@@ -9,7 +9,7 @@
 //	            [-arrival-rate R] [-qos-mix F] [-serve-seed N]
 //	            [-gray-faults spec] [-probe-epochs N]
 //	            [-power-cap W] [-dvfs=false]
-//	            [-digest] [-digest-every N] [-bisect A,B]
+//	            [-fastforward=false] [-digest-every N] [-bisect A,B]
 //	            [-trace] [-trace-out path] [-trace-filter spec] [-pprof prefix]
 //	            [-bench-json path] [-v]
 //
@@ -18,22 +18,23 @@
 // 1 = serial). Output is byte-identical for any worker count.
 //
 // -trace attaches a per-cell deterministic event tracer to the sweep
-// figures (faults, serve) and writes the events as JSONL to -trace-out
-// (default trace.jsonl; a .json extension converts to Chrome trace_event
-// format loadable in chrome://tracing or Perfetto). -trace-filter selects
-// categories and minimum severity ("migration,fault,sev=warn"); the JSONL
-// is byte-identical at any -parallel count. -pprof writes
-// <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles.
+// figures (faults, serve, failover, gray, power) and writes the events as
+// JSONL to -trace-out (default trace.jsonl; a .json extension converts to
+// Chrome trace_event format loadable in chrome://tracing or Perfetto).
+// -trace-filter selects categories and minimum severity
+// ("migration,fault,sev=warn"); the JSONL is byte-identical at any
+// -parallel count. -pprof writes <prefix>.cpu.pprof and <prefix>.mem.pprof
+// runtime profiles.
 //
-// -digest records a per-epoch machine-state digest chain in every
-// simulation (-digest-every N thins it to every Nth epoch) and appends the
-// folded chain to the sweep figures' notes: two invocations that differ only
-// in execution mode (-parallel count, -fastforward, -trace) must print the
-// same digest, and `make digest-smoke` asserts exactly that. -bisect A,B
-// localizes a divergence between two mode arms ('+'-joined tokens from ff,
-// noff, trace, notrace): it binary-searches the two runs' digest chains for
-// the first divergent epoch, then replays that epoch to name the first
-// divergent component and cycle.
+// -digest-every N records a machine-state digest chain every N epochs in
+// every simulation and appends the folded chain to the sweep figures'
+// notes: two invocations that differ only in execution mode (-parallel
+// count, -fastforward, -trace) must print the same digest, and
+// `go test -run TestModeMatrix ./internal/experiments` asserts exactly that.
+// -bisect A,B localizes a divergence between two mode arms ('+'-joined
+// tokens from ff, noff, trace, notrace): it binary-searches the two runs'
+// digest chains for the first divergent epoch, then replays that epoch to
+// name the first divergent component and cycle.
 //
 // -bench-json runs the selected figures twice (serial, then parallel),
 // records wall-clock, allocation counts, and the hot-path micro-benchmark,
@@ -47,6 +48,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -119,45 +121,61 @@ func generatorFor(opt experiments.Options, id string) (func() (experiments.Figur
 	return nil, false
 }
 
-func main() {
-	var (
-		fig         = flag.String("fig", "all", "which figure to regenerate (comma-separated ids or 'all')")
-		cycles      = flag.Int("cycles", 0, "simulated cycles per run (default: experiment suite default)")
-		epoch       = flag.Int("epoch", 0, "epoch length in cycles")
-		mixes       = flag.Int("mixes", 0, "mixes per sweep")
-		scale       = flag.Int("scale", 0, "footprint divisor")
-		parallelN   = flag.Int("parallel", 0, "sweep fan-out workers (0 = GOMAXPROCS, 1 = serial)")
-		faults      = flag.String("faults", "", "custom fault spec for the faults figure (e.g. \"sm=2,group=1,mig=0.05\")")
-		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
-		watchdog    = flag.Int("watchdog-timeout", 0, "watchdog window in cycles (-1 disables; 0 keeps the config default)")
-		arrRate     = flag.Float64("arrival-rate", 0, "serve/gray figures: single arrival rate in jobs per 100K cycles (0 = figure default)")
-		powerCap    = flag.Float64("power-cap", 0, "power figure: cluster power budget in watts (0 = derive 85%/70% cap points from the baseline arm)")
-		dvfs        = flag.Bool("dvfs", true, "power figure: include the DVFS-governed and capped arms (false = nominal baseline only)")
-		qosMix      = flag.Float64("qos-mix", 0, "serve figure: latency-critical arrival fraction (0 = the 0.5 default)")
-		serveSeed   = flag.Int64("serve-seed", 0, "serve figure: arrival-schedule seed (0 = seed 1)")
-		gpuFaults   = flag.Int("gpu-faults", 0, "failover figure: whole-GPU crashes to inject (0 = the default 1)")
-		grayFaults  = flag.String("gray-faults", "", "gray figure: degradation spec (e.g. \"gpus=1,sm=3,noc=0.005,window=0.25\"; empty = default)")
-		probeEpochs = flag.Int("probe-epochs", 0, "gray figure: clean probe epochs before a quarantined GPU re-admits LC work (0 = the default 4)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "failover figure: checkpoint interval in cycles (0 = 2 epochs)")
-		brownout    = flag.Bool("brownout", true, "failover figure: include the tiered-brownout arm")
-		traceOn     = flag.Bool("trace", false, "record deterministic event traces for the sweep figures (faults, serve)")
-		traceOut    = flag.String("trace-out", "", "trace output path (implies -trace; default trace.jsonl; .json converts to Chrome trace_event)")
-		traceFilter = flag.String("trace-filter", "", "trace category/severity filter, e.g. \"migration,fault,sev=warn\" (empty = everything)")
-		fastForward = flag.Bool("fastforward", true, "event-driven fast-forward engine: skip provably-dead cycles and idle SMs (results are byte-identical either way)")
-		noFastFwd   = flag.Bool("no-fastforward", false, "disable the fast-forward engine (same as -fastforward=false)")
-		digestOn    = flag.Bool("digest", false, "record per-epoch machine-state digest chains and print them in sweep notes")
-		digestEvery = flag.Int("digest-every", 0, "record a state digest every N epochs (implies -digest; 0 with -digest means every epoch)")
-		bisect      = flag.String("bisect", "", "localize a state divergence between two mode arms, e.g. \"ff,noff\" or \"ff+trace,noff\" (tokens: ff, noff, trace, notrace)")
-		pprofPrefix = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles")
-		benchJSON   = flag.String("bench-json", "", "write a serial-vs-parallel benchmark report to this path and exit")
-		verbose     = flag.Bool("v", false, "log per-run progress")
-	)
-	flag.Parse()
+// cli is everything main reads from the command line: the experiment
+// options plus the run-mode switches that live outside them.
+type cli struct {
+	opt         experiments.Options
+	figs        string // -fig: comma-separated ids or "all"
+	bisect      string
+	pprofPrefix string
+	benchJSON   string
+	tracePath   string // where the trace goes; "" when tracing is off
+	verbose     bool
+}
 
+// parseArgs maps the command line onto a cli. It is the only place a flag
+// becomes an experiments.Options field. Errors are usage errors: the
+// message and the usage text have already gone to stderr.
+func parseArgs(args []string, stderr io.Writer) (cli, error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig         = fs.String("fig", "all", "which figure to regenerate (comma-separated ids or 'all')")
+		cycles      = fs.Int("cycles", 0, "simulated cycles per run (default: experiment suite default)")
+		epoch       = fs.Int("epoch", 0, "epoch length in cycles")
+		mixes       = fs.Int("mixes", 0, "mixes per sweep")
+		scale       = fs.Int("scale", 0, "footprint divisor")
+		parallelN   = fs.Int("parallel", 0, "sweep fan-out workers (0 = GOMAXPROCS, 1 = serial)")
+		faults      = fs.String("faults", "", "custom fault spec for the faults figure (e.g. \"sm=2,group=1,mig=0.05\")")
+		faultSeed   = fs.Int64("fault-seed", 1, "seed for the deterministic fault injector")
+		watchdog    = fs.Int("watchdog-timeout", 0, "watchdog window in cycles (-1 disables; 0 keeps the config default)")
+		arrRate     = fs.Float64("arrival-rate", 0, "serve/gray figures: single arrival rate in jobs per 100K cycles (0 = figure default)")
+		powerCap    = fs.Float64("power-cap", 0, "power figure: cluster power budget in watts (0 = derive 85%/70% cap points from the baseline arm)")
+		dvfs        = fs.Bool("dvfs", true, "power figure: include the DVFS-governed and capped arms (false = nominal baseline only)")
+		qosMix      = fs.Float64("qos-mix", 0, "serve figure: latency-critical arrival fraction (0 = the 0.5 default)")
+		serveSeed   = fs.Int64("serve-seed", 0, "serve figure: arrival-schedule seed (0 = seed 1)")
+		gpuFaults   = fs.Int("gpu-faults", 0, "failover figure: whole-GPU crashes to inject (0 = the default 1)")
+		grayFaults  = fs.String("gray-faults", "", "gray figure: degradation spec (e.g. \"gpus=1,sm=3,noc=0.005,window=0.25\"; empty = default)")
+		probeEpochs = fs.Int("probe-epochs", 0, "gray figure: clean probe epochs before a quarantined GPU re-admits LC work (0 = the default 4)")
+		ckptEvery   = fs.Int("checkpoint-every", 0, "failover figure: checkpoint interval in cycles (0 = 2 epochs)")
+		brownout    = fs.Bool("brownout", true, "failover figure: include the tiered-brownout arm")
+		traceOn     = fs.Bool("trace", false, "record deterministic event traces for the sweep figures")
+		traceOut    = fs.String("trace-out", "", "trace output path (implies -trace; default trace.jsonl; .json converts to Chrome trace_event)")
+		traceFilter = fs.String("trace-filter", "", "trace category/severity filter, e.g. \"migration,fault,sev=warn\" (empty = everything)")
+		fastForward = fs.Bool("fastforward", true, "event-driven fast-forward engine: skip provably-dead cycles and idle SMs (results are byte-identical either way)")
+		digestEvery = fs.Int("digest-every", 0, "record a machine-state digest every N epochs and print the folded chain in sweep notes (0 = off)")
+		bisect      = fs.String("bisect", "", "localize a state divergence between two mode arms, e.g. \"ff,noff\" or \"ff+trace,noff\" (tokens: ff, noff, trace, notrace)")
+		pprofPrefix = fs.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.mem.pprof runtime profiles")
+		benchJSON   = fs.String("bench-json", "", "write a serial-vs-parallel benchmark report to this path and exit")
+		verbose     = fs.Bool("v", false, "log per-run progress")
+	)
+	if err := fs.Parse(args); err != nil {
+		return cli{}, err
+	}
 	if err := checkGraySpec(*grayFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(fs.Output(), "%v\n", err)
+		fs.Usage()
+		return cli{}, err
 	}
 
 	opt := experiments.Default()
@@ -189,7 +207,7 @@ func main() {
 	opt.Brownout = *brownout
 	opt.GrayFaults = *grayFaults
 	opt.ProbeEpochs = *probeEpochs
-	opt.NoFastForward = *noFastFwd || !*fastForward
+	opt.NoFastForward = !*fastForward
 	switch {
 	case *watchdog > 0:
 		opt.Cfg.WatchdogCycles = *watchdog
@@ -198,12 +216,32 @@ func main() {
 	}
 	if *digestEvery > 0 {
 		opt.Cfg.DigestEvery = *digestEvery
-	} else if *digestOn {
-		opt.Cfg.DigestEvery = 1
 	}
+	// -trace-out implies -trace; -trace alone writes trace.jsonl.
+	tracePath := *traceOut
+	if tracePath == "" && *traceOn {
+		tracePath = "trace.jsonl"
+	}
+	if tracePath != "" {
+		opt.Trace = true
+		opt.TraceFilter = *traceFilter
+	}
+	return cli{opt: opt, figs: *fig, bisect: *bisect, pprofPrefix: *pprofPrefix,
+		benchJSON: *benchJSON, tracePath: tracePath, verbose: *verbose}, nil
+}
 
-	if *bisect != "" {
-		a, b, err := experiments.ParseBisectSpec(*bisect)
+func main() {
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	opt := c.opt
+
+	if c.bisect != "" {
+		a, b, err := experiments.ParseBisectSpec(c.bisect)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(2)
@@ -223,22 +261,14 @@ func main() {
 	// Tracing: the sweeps stream JSONL into an in-memory buffer (runs are
 	// laptop-scale) which finish() writes to disk, converting to Chrome
 	// trace_event format when the path ends in .json.
-	tracePath := *traceOut
-	if tracePath != "" {
-		*traceOn = true
-	} else if *traceOn {
-		tracePath = "trace.jsonl"
-	}
 	var traceBuf bytes.Buffer
-	if *traceOn {
-		opt.Trace = true
-		opt.TraceFilter = *traceFilter
+	if opt.Trace {
 		opt.TraceOut = &traceBuf
 	}
 
 	// Profiling: CPU from here to finish(); heap snapshot at finish().
-	if *pprofPrefix != "" {
-		cf, err := os.Create(*pprofPrefix + ".cpu.pprof")
+	if c.pprofPrefix != "" {
+		cf, err := os.Create(c.pprofPrefix + ".cpu.pprof")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
 			os.Exit(1)
@@ -252,9 +282,9 @@ func main() {
 	// finish writes the deferred artifacts (trace file, profiles) before a
 	// normal exit; error exits skip them.
 	finish := func() {
-		if *pprofPrefix != "" {
+		if c.pprofPrefix != "" {
 			pprof.StopCPUProfile()
-			mf, err := os.Create(*pprofPrefix + ".mem.pprof")
+			mf, err := os.Create(c.pprofPrefix + ".mem.pprof")
 			if err == nil {
 				runtime.GC()
 				err = pprof.WriteHeapProfile(mf)
@@ -267,12 +297,12 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if !*traceOn {
+		if !opt.Trace {
 			return
 		}
-		f, err := os.Create(tracePath)
+		f, err := os.Create(c.tracePath)
 		if err == nil {
-			if strings.HasSuffix(tracePath, ".json") {
+			if strings.HasSuffix(c.tracePath, ".json") {
 				err = trace.JSONLToChrome(f, &traceBuf)
 			} else {
 				_, err = f.Write(traceBuf.Bytes())
@@ -285,15 +315,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", tracePath)
+		fmt.Fprintf(os.Stderr, "trace written to %s\n", c.tracePath)
 	}
 
 	want := map[string]bool{}
-	for _, id := range strings.Split(*fig, ",") {
+	for _, id := range strings.Split(c.figs, ",") {
 		want[strings.TrimSpace(strings.ToLower(id))] = true
 	}
 
-	if *benchJSON != "" {
+	if c.benchJSON != "" {
 		// Benchmark mode defaults to the Figure 10 and 14 sweeps (the golden
 		// determinism pair) unless -fig picks a specific set.
 		ids := []string{"10", "14"}
@@ -305,7 +335,7 @@ func main() {
 				}
 			}
 		}
-		if err := runBench(opt, ids, *parallelN, *benchJSON); err != nil {
+		if err := runBench(opt, ids, opt.Parallel, c.benchJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -325,14 +355,14 @@ func main() {
 			os.Exit(1)
 		}
 		f.Format(os.Stdout)
-		if *verbose {
+		if c.verbose {
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", g.id, time.Since(start).Round(time.Millisecond))
 		}
 		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown figure id %q (valid: %s, or all)\n",
-			*fig, strings.Join(figureIDs(), ", "))
+			c.figs, strings.Join(figureIDs(), ", "))
 		os.Exit(2)
 	}
 	finish()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -66,6 +67,61 @@ func TestCheckGraySpec(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "grammar:") {
 			t.Errorf("checkGraySpec(%q) error %q does not cite the grammar", bad, err)
+		}
+	}
+}
+
+// TestParseArgs pins the flag -> Options wiring of the mode switches the
+// determinism contract is stated over: the fast-forward engine, the digest
+// interval, the worker count and tracing.
+func TestParseArgs(t *testing.T) {
+	c, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.opt.NoFastForward || c.opt.Cfg.DigestEvery != 0 || c.opt.Parallel != 0 || c.opt.Trace || c.tracePath != "" {
+		t.Errorf("defaults: NoFastForward=%v DigestEvery=%d Parallel=%d Trace=%v tracePath=%q; want fast-forward on, no digest, GOMAXPROCS pool, no trace",
+			c.opt.NoFastForward, c.opt.Cfg.DigestEvery, c.opt.Parallel, c.opt.Trace, c.tracePath)
+	}
+
+	c, err = parseArgs([]string{"-fastforward=false", "-digest-every", "3", "-parallel", "8",
+		"-trace-out", "x.jsonl", "-trace-filter", "fault", "-fig", "gray"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.opt.NoFastForward {
+		t.Error("-fastforward=false did not set NoFastForward")
+	}
+	if c.opt.Cfg.DigestEvery != 3 {
+		t.Errorf("-digest-every 3: DigestEvery = %d", c.opt.Cfg.DigestEvery)
+	}
+	if c.opt.Parallel != 8 {
+		t.Errorf("-parallel 8: Parallel = %d", c.opt.Parallel)
+	}
+	if !c.opt.Trace || c.tracePath != "x.jsonl" || c.opt.TraceFilter != "fault" {
+		t.Errorf("-trace-out x.jsonl: Trace=%v tracePath=%q filter=%q; want the path to imply tracing",
+			c.opt.Trace, c.tracePath, c.opt.TraceFilter)
+	}
+	if c.figs != "gray" {
+		t.Errorf("-fig gray: figs = %q", c.figs)
+	}
+
+	c, err = parseArgs([]string{"-trace", "-trace-filter", "fault"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.opt.Trace || c.tracePath != "trace.jsonl" {
+		t.Errorf("-trace: Trace=%v tracePath=%q; want trace.jsonl", c.opt.Trace, c.tracePath)
+	}
+	if c, _ = parseArgs([]string{"-trace-filter", "fault"}, io.Discard); c.opt.TraceFilter != "" {
+		t.Error("-trace-filter applied with tracing off")
+	}
+
+	// -fastforward=false and -digest-every N are the only spellings of
+	// those modes; a malformed gray spec is a usage error too.
+	for _, args := range [][]string{{"-no-fastforward"}, {"-digest"}, {"-gray-faults", "noc=2"}} {
+		if _, err := parseArgs(args, io.Discard); err == nil {
+			t.Errorf("parseArgs(%q) accepted", args)
 		}
 	}
 }

@@ -94,7 +94,7 @@ type Options struct {
 	// NoFastForward disables the event-driven fast-forward engine and runs
 	// the plain per-cycle loop (gpu.Options.NoFastForward). Results are
 	// byte-identical either way; the switch exists for differential checks
-	// (`make ff-smoke`) and perf comparison.
+	// (TestModeMatrix) and perf comparison.
 	NoFastForward bool
 }
 

@@ -15,10 +15,8 @@ import (
 	"fmt"
 
 	clusterserve "ugpu/internal/cluster/serve"
-	"ugpu/internal/digest"
 	"ugpu/internal/fault"
 	"ugpu/internal/metrics"
-	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
 
@@ -103,11 +101,7 @@ func (o Options) FailoverSweep() (Figure, error) {
 	}
 
 	arms := o.failoverArms()
-	type armResult struct {
-		rep  *clusterserve.Report
-		line string
-	}
-	results := make([]armResult, len(arms))
+	results := make([]clusterArm, len(arms))
 	for ai, arm := range arms {
 		ccfg := clusterserve.Config{
 			GPUs:     failoverGPUs,
@@ -127,20 +121,8 @@ func (o Options) FailoverSweep() (Figure, error) {
 			Parallel:        o.Parallel,
 			Alone:           alone,
 		}
-		if o.Trace {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return Figure{}, err
-			}
-			ccfg.Trace = tr
-			ccfg.BackendTracers = make([]*trace.Tracer, failoverGPUs)
-			for i := range ccfg.BackendTracers {
-				bt, err := o.cellTracer()
-				if err != nil {
-					return Figure{}, err
-				}
-				ccfg.BackendTracers[i] = bt
-			}
+		if err := o.attachTracers(&ccfg); err != nil {
+			return Figure{}, err
 		}
 		fr, err := clusterserve.New(ccfg)
 		if err != nil {
@@ -155,7 +137,7 @@ func (o Options) FailoverSweep() (Figure, error) {
 				return Figure{}, err
 			}
 		}
-		results[ai] = armResult{
+		results[ai] = clusterArm{
 			rep: rep,
 			line: fmt.Sprintf("  failover %-15s arrived=%d done=%d shed=%d rej=%d crashes=%d avail=%.3f mttr=%.0f lost=%.0f lcGoodput=%.3f p99=%.2f tier=%d\n",
 				arm.name, rep.Arrived, rep.Completed, rep.Shed, rep.Rejected,
@@ -171,24 +153,17 @@ func (o Options) FailoverSweep() (Figure, error) {
 	for i, a := range arms {
 		labels[i] = a.name
 	}
-	pick := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = get(r.rep)
-		}
-		return out
-	}
 	fig := Figure{
 		ID:    "failover",
 		Title: "Cluster failover: goodput, availability, MTTR under whole-GPU crashes",
 		Series: []Series{
-			{Name: "goodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Goodput })},
-			{Name: "lcGoodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
-			{Name: "p99 slowdown", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
-			{Name: "availability", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Availability })},
-			{Name: "MTTR cycles", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.MTTRCycles })},
-			{Name: "lost work", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LostWork })},
-			{Name: "shed jobs", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.Shed) })},
+			{Name: "goodput", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.Goodput })},
+			{Name: "lcGoodput", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
+			{Name: "p99 slowdown", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
+			{Name: "availability", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.Availability })},
+			{Name: "MTTR cycles", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.MTTRCycles })},
+			{Name: "lost work", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.LostWork })},
+			{Name: "shed jobs", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return float64(r.SLO.Shed) })},
 		},
 		Notes: []string{
 			fmt.Sprintf("%d GPUs; crash schedule seeded by the arrival seed (%d); checkpoint/restore from periodic in-memory snapshots", failoverGPUs, seed),
@@ -202,15 +177,7 @@ func (o Options) FailoverSweep() (Figure, error) {
 			fmt.Sprintf("backends also run intra-GPU faults %q (seed %d)", o.FaultSpec, o.FaultSeed))
 	}
 	if cfg.DigestEvery > 0 {
-		sweepDig := digest.New()
-		for _, r := range results {
-			sweepDig = sweepDig.U64(r.rep.SLO.StateDigest)
-			for _, bc := range r.rep.BackendDigests {
-				sweepDig = sweepDig.U64(bc.Final())
-			}
-		}
-		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("state digest %016x over all arms and backends (chained every %d epochs); must match across serial/parallel and fast-forward on/off", uint64(sweepDig), cfg.DigestEvery))
+		fig.Notes = append(fig.Notes, clusterDigestNote(results, cfg.DigestEvery))
 	}
 	return fig, nil
 }

@@ -24,11 +24,9 @@ import (
 	"fmt"
 
 	clusterserve "ugpu/internal/cluster/serve"
-	"ugpu/internal/digest"
 	"ugpu/internal/fault"
 	"ugpu/internal/metrics"
 	"ugpu/internal/power"
-	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
 
@@ -100,8 +98,8 @@ func (o Options) GraySweep() (Figure, error) {
 	// progress ratio genuinely collapses under the absorbed load, and the
 	// scorer (correctly) convicts a second GPU; an overload-crushed cluster
 	// is indistinguishable from a gray one by design. -arrival-rate
-	// overrides (jobs per 100K cycles) — the smoke target uses it because
-	// the horizon-derived gap saturates at reduced -cycles.
+	// overrides (jobs per 100K cycles); at reduced -cycles the
+	// horizon-derived gap saturates at the 1K-cycle floor.
 	gap := cfg.MaxCycles / 112
 	if o.ArrivalRate > 0 {
 		gap = int(100_000 / o.ArrivalRate)
@@ -119,11 +117,7 @@ func (o Options) GraySweep() (Figure, error) {
 	}
 
 	arms := grayArms()
-	type armResult struct {
-		rep  *clusterserve.Report
-		line string
-	}
-	results := make([]armResult, len(arms))
+	results := make([]clusterArm, len(arms))
 	for ai, arm := range arms {
 		ccfg := clusterserve.Config{
 			GPUs:     grayGPUs,
@@ -160,20 +154,8 @@ func (o Options) GraySweep() (Figure, error) {
 				GrowStreak:   5,
 			}
 		}
-		if o.Trace {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return Figure{}, err
-			}
-			ccfg.Trace = tr
-			ccfg.BackendTracers = make([]*trace.Tracer, grayGPUs)
-			for i := range ccfg.BackendTracers {
-				bt, err := o.cellTracer()
-				if err != nil {
-					return Figure{}, err
-				}
-				ccfg.BackendTracers[i] = bt
-			}
+		if err := o.attachTracers(&ccfg); err != nil {
+			return Figure{}, err
 		}
 		fr, err := clusterserve.New(ccfg)
 		if err != nil {
@@ -188,7 +170,7 @@ func (o Options) GraySweep() (Figure, error) {
 				return Figure{}, err
 			}
 		}
-		results[ai] = armResult{
+		results[ai] = clusterArm{
 			rep: rep,
 			line: fmt.Sprintf("  gray %-16s arrived=%d done=%d shed=%d rej=%d faults=%d det=%d fp=%d fn=%d latency=%.1f quar=%d saved=%.0f lcAvail=%.3f lcGoodput=%.3f p99=%.2f\n",
 				arm.name, rep.Arrived, rep.Completed, rep.Shed, rep.Rejected,
@@ -206,28 +188,21 @@ func (o Options) GraySweep() (Figure, error) {
 	for i, a := range arms {
 		labels[i] = a.name
 	}
-	pick := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = get(r.rep)
-		}
-		return out
-	}
 	fig := Figure{
 		ID:    "gray",
 		Title: "Gray failures: LC goodput under degradation — ignore vs crash vs quarantine",
 		Series: []Series{
-			{Name: "lcGoodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
-			{Name: "goodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Goodput })},
-			{Name: "p99 slowdown", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
-			{Name: "detected", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.GrayDetected) })},
-			{Name: "false positives", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.GrayFalsePositives) })},
-			{Name: "detect epochs", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.GrayDetectEpochs })},
-			{Name: "LC availability", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCAvailability })},
-			{Name: "availability", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.Availability })},
-			{Name: "quarantined cycles", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.SLO.QuarantinedGPUCycles) })},
-			{Name: "saved work", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.GraySavedWork })},
-			{Name: "lost work", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LostWork })},
+			{Name: "lcGoodput", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
+			{Name: "goodput", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.Goodput })},
+			{Name: "p99 slowdown", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
+			{Name: "detected", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return float64(r.SLO.GrayDetected) })},
+			{Name: "false positives", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return float64(r.SLO.GrayFalsePositives) })},
+			{Name: "detect epochs", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.GrayDetectEpochs })},
+			{Name: "LC availability", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.LCAvailability })},
+			{Name: "availability", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.Availability })},
+			{Name: "quarantined cycles", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return float64(r.SLO.QuarantinedGPUCycles) })},
+			{Name: "saved work", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.GraySavedWork })},
+			{Name: "lost work", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.LostWork })},
 		},
 		Notes: []string{
 			fmt.Sprintf("%d GPUs; degradation %q seeded by the arrival seed (%d); windows sit in the middle 60%% of the horizon", grayGPUs, graySpec.WithDefaults().String(), seed),
@@ -238,15 +213,7 @@ func (o Options) GraySweep() (Figure, error) {
 		},
 	}
 	if cfg.DigestEvery > 0 {
-		sweepDig := digest.New()
-		for _, r := range results {
-			sweepDig = sweepDig.U64(r.rep.SLO.StateDigest)
-			for _, bc := range r.rep.BackendDigests {
-				sweepDig = sweepDig.U64(bc.Final())
-			}
-		}
-		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("state digest %016x over all arms and backends (chained every %d epochs); must match across serial/parallel and fast-forward on/off", uint64(sweepDig), cfg.DigestEvery))
+		fig.Notes = append(fig.Notes, clusterDigestNote(results, cfg.DigestEvery))
 	}
 	return fig, nil
 }

@@ -19,7 +19,6 @@ import (
 	clusterserve "ugpu/internal/cluster/serve"
 	"ugpu/internal/metrics"
 	"ugpu/internal/power"
-	"ugpu/internal/trace"
 	"ugpu/internal/workload"
 )
 
@@ -105,12 +104,7 @@ func (o Options) PowerSweep() (Figure, error) {
 	}
 
 	arms := o.powerArms()
-	type armResult struct {
-		rep  *clusterserve.Report
-		capW float64
-		line string
-	}
-	results := make([]armResult, len(arms))
+	results := make([]clusterArm, len(arms))
 	basePower := 0.0
 	for ai, arm := range arms {
 		opt := o.gpuOptions()
@@ -134,20 +128,8 @@ func (o Options) PowerSweep() (Figure, error) {
 			Parallel: o.Parallel,
 			Alone:    alone,
 		}
-		if o.Trace {
-			tr, err := o.cellTracer()
-			if err != nil {
-				return Figure{}, err
-			}
-			ccfg.Trace = tr
-			ccfg.BackendTracers = make([]*trace.Tracer, powerGPUs)
-			for i := range ccfg.BackendTracers {
-				bt, err := o.cellTracer()
-				if err != nil {
-					return Figure{}, err
-				}
-				ccfg.BackendTracers[i] = bt
-			}
+		if err := o.attachTracers(&ccfg); err != nil {
+			return Figure{}, err
 		}
 		fr, err := clusterserve.New(ccfg)
 		if err != nil {
@@ -165,7 +147,7 @@ func (o Options) PowerSweep() (Figure, error) {
 		if arm.name == "baseline" {
 			basePower = rep.MeanPower
 		}
-		results[ai] = armResult{
+		results[ai] = clusterArm{
 			rep:  rep,
 			capW: capW,
 			line: fmt.Sprintf("  power %-10s energy=%.0f meanW=%.1f ipc=%.3f lcGoodput=%.3f p99=%.2f transitions=%d cap=%.0fW\n",
@@ -183,13 +165,6 @@ func (o Options) PowerSweep() (Figure, error) {
 		labels[i] = a.name
 	}
 	base := results[0].rep
-	pick := func(get func(*clusterserve.Report) float64) []float64 {
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = get(r.rep)
-		}
-		return out
-	}
 	rel := func(get func(*clusterserve.Report) float64) []float64 {
 		out := make([]float64, len(results))
 		b := get(base)
@@ -218,14 +193,14 @@ func (o Options) PowerSweep() (Figure, error) {
 		ID:    "power",
 		Title: "Power management: energy/throughput Pareto under DVFS and power capping",
 		Series: []Series{
-			{Name: "energy (units)", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.Energy.Total })},
+			{Name: "energy (units)", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.Energy.Total })},
 			{Name: "energy saved %", Labels: labels, Values: rel(func(r *clusterserve.Report) float64 { return r.Energy.Total })},
-			{Name: "mean power (W)", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.MeanPower })},
-			{Name: "IPC", Labels: labels, Values: pick(ipc)},
+			{Name: "mean power (W)", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.MeanPower })},
+			{Name: "IPC", Labels: labels, Values: pickArms(results, ipc)},
 			{Name: "IPC loss %", Labels: labels, Values: rel(ipc)},
-			{Name: "lcGoodput", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
-			{Name: "p99 slowdown", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
-			{Name: "transitions", Labels: labels, Values: pick(func(r *clusterserve.Report) float64 { return float64(r.Energy.Transitions) })},
+			{Name: "lcGoodput", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.LCGoodput })},
+			{Name: "p99 slowdown", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return r.SLO.P99 })},
+			{Name: "transitions", Labels: labels, Values: pickArms(results, func(r *clusterserve.Report) float64 { return float64(r.Energy.Transitions) })},
 			{Name: "cap (W)", Labels: labels, Values: caps},
 		},
 		Notes: []string{
@@ -234,6 +209,9 @@ func (o Options) PowerSweep() (Figure, error) {
 			"the governor downclocks memory-bound slices' SMs and compute-bound slices' channels; LC slices keep nominal frequency",
 			"the cluster arbiter splits the cap across alive GPUs and re-grants measured headroom; per-GPU caps emit KPower events",
 		},
+	}
+	if cfg.DigestEvery > 0 {
+		fig.Notes = append(fig.Notes, clusterDigestNote(results, cfg.DigestEvery))
 	}
 	return fig, nil
 }

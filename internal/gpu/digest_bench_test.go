@@ -1,7 +1,7 @@
 package gpu
 
 // Digest cost contract (ISSUE 9): a full per-component state digest is taken
-// once per epoch when -digest is on, so its budget is relative to an epoch's
+// once per epoch with -digest-every 1, so its budget is relative to an epoch's
 // simulation cost — at most 2% of the ns spent simulating EpochCycles cycles.
 // When digesting is off nothing in the per-cycle hot path references the
 // digest code at all (the only call site is the epoch-boundary gate in

@@ -32,7 +32,7 @@ package gpu
 // Both mechanisms are elisions of provable no-ops, so Totals, epoch stats,
 // traces, and figure outputs are byte-identical with the engine on or off
 // (Options.NoFastForward). The differential tests in fastforward_test.go and
-// `make ff-smoke` pin that property down.
+// the experiments package's TestModeMatrix pin that property down.
 
 import "ugpu/internal/sm"
 import "ugpu/internal/trace"
