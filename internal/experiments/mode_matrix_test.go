@@ -191,69 +191,175 @@ var matrixRows = []matrixRow{
 	},
 }
 
-func TestModeMatrix(t *testing.T) {
-	refs := map[string]func() (matrixCell, error){}
+// matrixCells caches every cell run, keyed by row and mode name, so that
+// TestModeMatrix and the named tests after it share one run of each cell.
+var matrixCells sync.Map // cellKey -> func() (matrixCell, error)
+
+type cellKey struct{ row, mode string }
+
+// rowNamed looks up a row of the matrix.
+func rowNamed(name string) matrixRow {
 	for _, r := range matrixRows {
-		refs[r.name] = sync.OnceValues(func() (matrixCell, error) { return r.runCell(modeRef) })
+		if r.name == name {
+			return r
+		}
 	}
+	panic("no matrix row " + name)
+}
+
+// cellOf runs a row in a mode, or returns the cached run.
+func cellOf(t *testing.T, row string, m matrixMode) matrixCell {
+	t.Helper()
+	r := rowNamed(row)
+	f, _ := matrixCells.LoadOrStore(cellKey{row, m.name},
+		sync.OnceValues(func() (matrixCell, error) { return r.runCell(m) }))
+	c, err := f.(func() (matrixCell, error))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// modes lists the columns compared against a row's reference.
+func (r matrixRow) modes() []matrixMode {
+	if !r.observable {
+		return []matrixMode{modePar, modeNoFF}
+	}
+	return []matrixMode{modePar, modeNoFF, modePlain}
+}
+
+// checkRowClaims asserts a row's own claims on its reference cell.
+func checkRowClaims(t *testing.T, r matrixRow) {
+	t.Helper()
+	ref := cellOf(t, r.name, modeRef)
+	table := fmt.Sprint(ref.fig.Series) // series names, labels, values
+	for _, n := range r.names {
+		if !strings.Contains(table, n) {
+			t.Errorf("figure table does not name %q:\n%s", n, ref.text())
+		}
+	}
+	for _, k := range r.kinds {
+		if !strings.Contains(ref.trace, `"kind":"`+k+`"`) {
+			t.Errorf("trace has no %q event", k)
+		}
+	}
+	if r.check != nil {
+		r.check(t, ref, func(row string) matrixCell { return cellOf(t, row, modeRef) })
+	}
+	if r.observable {
+		if n, _ := splitDigest(ref.fig.Notes); len(n) != 1 {
+			t.Errorf("ref: %d state-digest notes, want 1", len(n))
+		}
+		checkStreamWellFormed(t, ref.trace)
+	}
+}
+
+// checkCell compares one mode's cell with the row's reference.
+func checkCell(t *testing.T, r matrixRow, m matrixMode) {
+	t.Helper()
+	want, got := cellOf(t, r.name, modeRef), cellOf(t, r.name, m)
+	if !m.observe {
+		if n, _ := splitDigest(got.fig.Notes); len(n) != 0 {
+			t.Errorf("%s: digest note with digesting off: %q", m.name, n)
+		}
+		_, want.fig.Notes = splitDigest(want.fig.Notes)
+		want.trace = ""
+	}
+	sameBytes(t, m.name, "figure", want.text(), got.text())
+	sameBytes(t, m.name, "series", fmt.Sprint(want.fig.Series), fmt.Sprint(got.fig.Series))
+	sameBytes(t, m.name, "progress log", want.log, got.log)
+	sameBytes(t, m.name, "trace", want.trace, got.trace)
+}
+
+func TestModeMatrix(t *testing.T) {
+	// Each -count pass simulates afresh.
+	matrixCells.Range(func(k, _ any) bool { matrixCells.Delete(k); return true })
 	for _, r := range matrixRows {
 		t.Run(r.name, func(t *testing.T) {
 			if testing.Short() && r.name != "faults" {
 				t.Skip("multi-simulation sweep")
 			}
 			t.Parallel()
-			refOf := func(row string) matrixCell {
-				c, err := refs[row]()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}
-			ref := refOf(r.name)
-			table := fmt.Sprint(ref.fig.Series) // series names, labels, values
-			for _, n := range r.names {
-				if !strings.Contains(table, n) {
-					t.Errorf("figure table does not name %q:\n%s", n, ref.text())
-				}
-			}
-			for _, k := range r.kinds {
-				if !strings.Contains(ref.trace, `"kind":"`+k+`"`) {
-					t.Errorf("trace has no %q event", k)
-				}
-			}
-			if r.check != nil {
-				r.check(t, ref, refOf)
-			}
-			if r.observable {
-				if n, _ := splitDigest(ref.fig.Notes); len(n) != 1 {
-					t.Errorf("ref: %d state-digest notes, want 1", len(n))
-				}
-				checkStreamWellFormed(t, ref.trace)
-			}
-
-			modes := []matrixMode{modePar, modeNoFF, modePlain}
-			if !r.observable {
-				modes = modes[:2]
-			}
-			for _, m := range modes {
-				got, err := r.runCell(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := ref
-				if !m.observe {
-					if n, _ := splitDigest(got.fig.Notes); len(n) != 0 {
-						t.Errorf("%s: digest note with digesting off: %q", m.name, n)
-					}
-					_, want.fig.Notes = splitDigest(ref.fig.Notes)
-					want.trace = ""
-				}
-				sameBytes(t, m.name, "figure", want.text(), got.text())
-				sameBytes(t, m.name, "series", fmt.Sprint(want.fig.Series), fmt.Sprint(got.fig.Series))
-				sameBytes(t, m.name, "progress log", want.log, got.log)
-				sameBytes(t, m.name, "trace", want.trace, got.trace)
+			checkRowClaims(t, r)
+			for _, m := range r.modes() {
+				checkCell(t, r, m)
 			}
 		})
+	}
+}
+
+// The tests below check slices of the matrix under their historical names.
+// They read the cells TestModeMatrix cached, so in a full run they simulate
+// nothing; run alone, they simulate only the cells they need.
+
+// checkSlice checks a row's cells in the given modes against its reference,
+// and the row's own claims when claims is set. It skips under -short.
+func checkSlice(t *testing.T, row string, claims bool, modes ...matrixMode) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("multi-simulation sweep")
+	}
+	if claims {
+		checkRowClaims(t, rowNamed(row))
+	}
+	for _, m := range modes {
+		checkCell(t, rowNamed(row), m)
+	}
+}
+
+func TestGoldenFaultSweepDeterministic(t *testing.T)  { checkSlice(t, "faults", false, modePar) }
+func TestGoldenFailoverSerialVsParallel(t *testing.T) { checkSlice(t, "failover", true, modePar) }
+func TestGoldenGraySerialVsParallel(t *testing.T)     { checkSlice(t, "gray", true, modePar) }
+func TestGoldenFailoverFastForwardDifferential(t *testing.T) {
+	checkSlice(t, "failover", false, modeNoFF)
+}
+func TestGoldenGrayFastForwardDifferential(t *testing.T) { checkSlice(t, "gray", false, modeNoFF) }
+
+// TestGoldenTraceJSONLByteIdenticalSerialVsParallel: the par column of every
+// traced row, grouped by whether the row injects faults.
+func TestGoldenTraceJSONLByteIdenticalSerialVsParallel(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		rows []string
+	}{
+		{"healthy", []string{"serve", "power"}},
+		{"faults", []string{"faults", "serve+faults", "failover", "gray"}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			for _, row := range g.rows {
+				checkSlice(t, row, false, modePar)
+			}
+		})
+	}
+}
+
+// TestGoldenTraceObservationOnly: the plain column of every traced row.
+func TestGoldenTraceObservationOnly(t *testing.T) { checkObservable(t, false, modePlain) }
+
+// TestGoldenTraceStreamWellFormed: every traced row's claims, the stream
+// check among them.
+func TestGoldenTraceStreamWellFormed(t *testing.T) { checkObservable(t, true) }
+
+// checkObservable runs checkSlice on every traced row.
+func checkObservable(t *testing.T, claims bool, modes ...matrixMode) {
+	for _, r := range matrixRows {
+		if r.observable {
+			checkSlice(t, r.name, claims, modes...)
+		}
+	}
+}
+
+// TestSweepDigestModeInvariant: the faults row's digest note is the same
+// with Parallel=8 and with fast-forward off. It also runs under -short, at
+// tiny() scale.
+func TestSweepDigestModeInvariant(t *testing.T) {
+	want, _ := splitDigest(cellOf(t, "faults", modeRef).fig.Notes)
+	if len(want) != 1 {
+		t.Fatalf("ref: %d state-digest notes, want 1", len(want))
+	}
+	for _, m := range []matrixMode{modePar, modeNoFF} {
+		got, _ := splitDigest(cellOf(t, "faults", m).fig.Notes)
+		sameBytes(t, m.name, "digest note", fmt.Sprint(want), fmt.Sprint(got))
 	}
 }
 
